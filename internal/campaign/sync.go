@@ -44,8 +44,9 @@ func exchangeStamps(rt *core.Runtime, ref string, cfg SyncConfig) []clocksync.St
 	cfg.setDefaults()
 	clk := rt.Clock()
 	refClock := rt.HostClock(ref)
-	var msgs []clocksync.StampedMessage
-	for _, host := range rt.Hosts() {
+	hosts := rt.Hosts()
+	msgs := make([]clocksync.StampedMessage, 0, 2*cfg.Messages*len(hosts))
+	for _, host := range hosts {
 		if host == ref {
 			continue
 		}

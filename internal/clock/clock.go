@@ -1,7 +1,7 @@
 // Package clock is the injected time abstraction for every package that
 // would otherwise touch the wall clock. Core, campaign, and probe code
-// must reach time exclusively through a Clock (scripts/forbid_wallclock.sh
-// enforces this), so one testbed can run either against the operating
+// must reach time exclusively through a Clock (the lokilint wallclock
+// analyzer enforces this), so one testbed can run either against the operating
 // system's clock (Real) or against a virtual-time scheduler (Virtual) that
 // advances simulated time to the next due event whenever the runtime
 // quiesces — sync round-trips, fault windows, and experiment timeouts then

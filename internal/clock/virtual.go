@@ -48,6 +48,13 @@ type Virtual struct {
 	// dependency-free; campaigns export deltas into their metrics registry.
 	firedTimers uint64 // timer deadlines reached and dispatched
 	tasks       uint64 // tracked tasks started via Go/AfterFunc bodies
+
+	// Free lists, under mu, so the hot path stops allocating per wait:
+	// Sleep's private waiters, and sleeper timer entries once dispatch has
+	// popped them. AfterFunc entries are never recycled — their
+	// virtualTimer still points at them.
+	spareWaiters []*vWaiter
+	spareEntries []*timerEntry
 }
 
 // VirtualStats is a snapshot of a virtual scheduler's activity.
@@ -84,6 +91,13 @@ type timerEntry struct {
 	stopped bool
 	fired   bool
 	index   int
+}
+
+// stale reports whether a heap entry can no longer fire: a stopped
+// AfterFunc, or a sleeper entry whose waiter was woken or re-parked since
+// it was pushed. Every park bumps the waiter's gen, so stale is permanent.
+func (e *timerEntry) stale() bool {
+	return e.stopped || (e.w != nil && (!e.w.parked || e.w.queued || e.gen != e.w.gen))
 }
 
 // timerHeap orders entries by (due time, creation sequence) so equal
@@ -149,7 +163,19 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	v.newWaiter().Wait(d)
+	v.mu.Lock()
+	var w *vWaiter
+	if n := len(v.spareWaiters); n > 0 {
+		w = v.spareWaiters[n-1]
+		v.spareWaiters = v.spareWaiters[:n-1]
+	} else {
+		w = v.newWaiter()
+	}
+	w.wait(d)
+	// The waiter is private and resumed only by its own deadline, so it
+	// comes back clean: no pending resume, no wake, no entry left in the heap.
+	v.spareWaiters = append(v.spareWaiters, w)
+	v.mu.Unlock()
 }
 
 // AfterFunc implements Clock. The body runs as a tracked task when the
@@ -255,8 +281,11 @@ func (v *Virtual) dispatch() {
 		return
 	}
 	if len(v.ready) > 0 {
+		// Shift rather than reslice, so the FIFO reuses one backing array.
 		it := v.ready[0]
-		v.ready = v.ready[1:]
+		n := copy(v.ready, v.ready[1:])
+		v.ready[n] = readyItem{}
+		v.ready = v.ready[:n]
 		v.busy++
 		if it.fn != nil {
 			v.tasks++
@@ -272,13 +301,9 @@ func (v *Virtual) dispatch() {
 		return
 	}
 	if v.driving > 0 {
-		for v.timers.Len() > 0 {
-			e := v.timers[0]
-			if e.stopped || (e.w != nil && (!e.w.parked || e.w.queued || e.gen != e.w.gen)) {
-				heap.Pop(&v.timers) // canceled or superseded; discard
-				continue
-			}
-			heap.Pop(&v.timers)
+		v.dropStale()
+		if v.timers.Len() > 0 {
+			e := heap.Pop(&v.timers).(*timerEntry)
 			if e.at > v.now {
 				v.now = e.at
 			}
@@ -291,6 +316,7 @@ func (v *Virtual) dispatch() {
 				return
 			}
 			w := e.w
+			v.freeEntry(e)
 			w.parked = false
 			v.parked--
 			w.byWake = false
@@ -306,6 +332,24 @@ func (v *Virtual) dispatch() {
 	if v.idle != nil {
 		close(v.idle)
 		v.idle = nil
+	}
+}
+
+// freeEntry puts a popped sleeper entry on the free list. Nothing else
+// points at it: a waiter does not remember its entries.
+func (v *Virtual) freeEntry(e *timerEntry) {
+	if e.w == nil {
+		return // AfterFunc entry, still referenced by its virtualTimer
+	}
+	e.w = nil
+	v.spareEntries = append(v.spareEntries, e)
+}
+
+// dropStale discards canceled and superseded entries from the heap top,
+// so the top, if any, is the next timer to fire.
+func (v *Virtual) dropStale() {
+	for v.timers.Len() > 0 && v.timers[0].stale() {
+		v.freeEntry(heap.Pop(&v.timers).(*timerEntry))
 	}
 }
 
@@ -340,15 +384,28 @@ func (w *vWaiter) Wake() {
 }
 
 func (w *vWaiter) Wait(d time.Duration) bool {
+	w.v.mu.Lock()
+	byWake := w.wait(d)
+	w.v.mu.Unlock()
+	return byWake
+}
+
+// wait is Wait with v.mu held on entry and on return.
+//
+// A bounded wait takes a no-park fast path when nothing else could run
+// before its deadline: a driver is active, the caller is the only busy
+// task, the ready FIFO is empty, and every live timer is due strictly
+// later. Parking would then hand control straight back to the caller
+// through dispatch, so the fast path does what dispatch would — advance
+// now, consume a sequence number and count the fired timer — without the
+// heap entry or the channel round trip.
+func (w *vWaiter) wait(d time.Duration) bool {
 	v := w.v
-	v.mu.Lock()
 	if w.woken {
 		w.woken = false
-		v.mu.Unlock()
 		return true
 	}
 	if d == 0 {
-		v.mu.Unlock()
 		return false
 	}
 	if v.busy == 0 {
@@ -357,7 +414,25 @@ func (w *vWaiter) Wait(d time.Duration) bool {
 	}
 	w.gen++
 	if d > 0 {
-		e := &timerEntry{at: v.now + vclock.Ticks(d), seq: v.seq, w: w, gen: w.gen}
+		at := v.now + vclock.Ticks(d)
+		if v.driving > 0 && v.busy == 1 && len(v.ready) == 0 {
+			// A tie does not qualify: the older entry fires first.
+			v.dropStale()
+			if v.timers.Len() == 0 || at < v.timers[0].at {
+				v.seq++
+				v.now = at
+				v.firedTimers++
+				return false
+			}
+		}
+		var e *timerEntry
+		if n := len(v.spareEntries); n > 0 {
+			e = v.spareEntries[n-1]
+			v.spareEntries = v.spareEntries[:n-1]
+		} else {
+			e = new(timerEntry)
+		}
+		*e = timerEntry{at: at, seq: v.seq, w: w, gen: w.gen}
 		v.seq++
 		heap.Push(&v.timers, e)
 	}
@@ -368,9 +443,7 @@ func (w *vWaiter) Wait(d time.Duration) bool {
 	v.mu.Unlock()
 	<-w.resume
 	v.mu.Lock()
-	byWake := w.byWake
-	v.mu.Unlock()
-	return byWake
+	return w.byWake
 }
 
 var _ Clock = (*Virtual)(nil)

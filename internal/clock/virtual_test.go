@@ -272,3 +272,204 @@ func TestSpinWaitRealSubMillisecond(t *testing.T) {
 		t.Fatalf("SpinWait returned after %v, want >= 50µs", got)
 	}
 }
+
+func TestVirtualReusedWaiterIgnoresStaleEntry(t *testing.T) {
+	// A waiter reused across waits (as core's per-node spares are) keeps
+	// its gen counter: the timer entry left behind by a woken wait must
+	// neither wake the next use early nor, once popped and recycled for
+	// another sleeper, fire for the waiter it used to belong to.
+	v := NewVirtual()
+	v.Drive()
+	w := v.NewWaiter()
+	var first, second bool
+	var secondAt vclock.Ticks
+	v.Go(func() {
+		first = w.Wait(2 * time.Millisecond) // woken at 1ms; 2ms entry goes stale
+		second = w.Wait(5 * time.Millisecond)
+		secondAt = v.NowTicks()
+	})
+	v.Sleep(time.Millisecond)
+	w.Wake()
+	v.Sleep(10 * time.Millisecond) // parks: reuses the discarded stale entry
+	v.Release()
+	if !first {
+		t.Fatal("first wait not woken")
+	}
+	if second {
+		t.Fatal("stale entry woke the reused waiter")
+	}
+	if secondAt != 6e6 {
+		t.Fatalf("reused waiter resumed at %v, want its own 6ms deadline", secondAt)
+	}
+	if got := v.NowTicks(); got != 11e6 {
+		t.Fatalf("clock at %v, want 11ms", got)
+	}
+	if st := v.Stats(); st.FiredTimers != 3 {
+		t.Fatalf("FiredTimers = %d, want 3 (the stale entry must not count)", st.FiredTimers)
+	}
+}
+
+func TestVirtualTiedDeadlineParks(t *testing.T) {
+	// A sleeper whose deadline ties a pending timer must not take the
+	// no-park fast path: the older entry fires first.
+	v := NewVirtual()
+	v.Drive()
+	defer v.Release()
+	var order []string
+	v.AfterFunc(time.Millisecond, func() { order = append(order, "timer") })
+	v.Sleep(time.Millisecond)
+	order = append(order, "driver")
+	// Same tie between two sleepers: the task queued by Go sleeps after
+	// the driver has parked, so its entry is younger and resumes second.
+	v.Go(func() {
+		v.Sleep(time.Millisecond)
+		order = append(order, "task")
+	})
+	v.Sleep(time.Millisecond)
+	order = append(order, "driver")
+	v.Sleep(time.Millisecond) // let the task finish
+	want := []string{"timer", "driver", "driver", "task"}
+	if len(order) != len(want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+	if got := v.NowTicks(); got != 3e6 {
+		t.Fatalf("clock at %v, want 3ms", got)
+	}
+}
+
+func TestVirtualFastPathNeedsDriver(t *testing.T) {
+	// A lone task sleeping outside a Drive window is the only busy task
+	// with nothing ready and no other timer, yet it must park: without a
+	// driver, time does not advance.
+	v := NewVirtual()
+	done := false
+	v.Go(func() {
+		v.Sleep(time.Millisecond)
+		done = true
+	})
+	v.Drive() // returns once the task has parked
+	if v.NowTicks() != 0 || v.Stats().FiredTimers != 0 || done {
+		t.Fatalf("sleep advanced time outside a Drive window (now=%v)", v.NowTicks())
+	}
+	v.Sleep(2 * time.Millisecond)
+	v.Release()
+	if !done {
+		t.Fatal("task did not resume inside the Drive window")
+	}
+}
+
+func TestVirtualFastPathSkipsHeap(t *testing.T) {
+	v := NewVirtual()
+	v.Drive()
+	defer v.Release()
+	for i := 0; i < 3; i++ {
+		v.Sleep(time.Millisecond)
+	}
+	if v.timers.Len() != 0 || len(v.spareEntries) != 0 {
+		t.Fatalf("a lone driver's sleeps used timer entries (heap %d, spare %d)",
+			v.timers.Len(), len(v.spareEntries))
+	}
+	if st := v.Stats(); st.FiredTimers != 3 || v.NowTicks() != 3e6 {
+		t.Fatalf("FiredTimers=%d now=%v, want 3 and 3ms", st.FiredTimers, v.NowTicks())
+	}
+}
+
+// mixedScript drives a fixed schedule of sleeps, waits, timers and tasks.
+// before runs ahead of every sleep or wait.
+func mixedScript(v *Virtual, before func()) (trace []vclock.Ticks) {
+	note := func() { trace = append(trace, v.NowTicks()) }
+	sleep := func(d time.Duration) {
+		before()
+		v.Sleep(d)
+		note()
+	}
+	sleep(time.Millisecond)
+	v.AfterFunc(3*time.Millisecond, note)
+	sleep(time.Millisecond)
+	w := v.NewWaiter()
+	v.Go(func() {
+		sleep(500 * time.Microsecond)
+		before()
+		w.Wait(4 * time.Millisecond)
+		note()
+		sleep(time.Millisecond)
+	})
+	sleep(2 * time.Millisecond)
+	w.Wake()
+	sleep(time.Millisecond)
+	stop := v.AfterFunc(time.Millisecond, note)
+	stop.Stop()
+	for i := 0; i < 5; i++ {
+		sleep(200 * time.Microsecond)
+	}
+	return trace
+}
+
+func TestVirtualFastPathMatchesParkedPath(t *testing.T) {
+	// The same script runs twice: once as is, where the driver's lone
+	// sleeps take the fast path (see TestVirtualFastPathSkipsHeap), and once with a helper task woken before every sleep, so
+	// the ready FIFO is never empty and every sleep parks. Stats, the
+	// final time and every observed timestamp must agree.
+	fast := NewVirtual()
+	fast.Drive()
+	fastTrace := mixedScript(fast, func() {})
+	fast.Release()
+
+	slow := NewVirtual()
+	slow.Drive()
+	helper := slow.NewWaiter()
+	quit := false
+	slow.Go(func() {
+		for !quit {
+			helper.Wait(-1)
+		}
+	})
+	slowTrace := mixedScript(slow, helper.Wake)
+	ss := slow.Stats()
+	ss.Tasks-- // the helper
+	quit = true
+	helper.Wake()
+	slow.Release()
+
+	if fs := fast.Stats(); fs != ss {
+		t.Fatalf("Stats: fast path %+v, parked path %+v", fs, ss)
+	}
+	if fast.NowTicks() != slow.NowTicks() {
+		t.Fatalf("final time: fast path %v, parked path %v", fast.NowTicks(), slow.NowTicks())
+	}
+	if len(fastTrace) != len(slowTrace) {
+		t.Fatalf("trace: fast path %v, parked path %v", fastTrace, slowTrace)
+	}
+	for i := range fastTrace {
+		if fastTrace[i] != slowTrace[i] {
+			t.Fatalf("trace: fast path %v, parked path %v", fastTrace, slowTrace)
+		}
+	}
+}
+
+func TestVirtualSleepZeroAlloc(t *testing.T) {
+	v := NewVirtual()
+	v.Drive()
+	defer v.Release()
+	if n := testing.AllocsPerRun(100, func() { v.Sleep(time.Microsecond) }); n != 0 {
+		t.Fatalf("lone Sleep: %v allocs/op, want 0", n)
+	}
+	// With a second task sleeping on an interleaved period, sleeps park
+	// and go through dispatch: waiters and entries come from free lists.
+	quit := false
+	v.Go(func() {
+		for !quit {
+			v.Sleep(3 * time.Microsecond)
+		}
+	})
+	if n := testing.AllocsPerRun(100, func() { v.Sleep(2 * time.Microsecond) }); n != 0 {
+		t.Fatalf("parked Sleep: %v allocs/op, want 0", n)
+	}
+	quit = true
+	v.Sleep(10 * time.Microsecond)
+}

@@ -172,8 +172,7 @@ func (h *Handle) WaitMessage(timeout time.Duration) (AppMessage, bool) {
 	clk := n.rt.clk
 	inbox := h.inboxChan()
 	deadline := clk.Now().Add(timeout)
-	w := clk.NewWaiter()
-	n.addWaiter(w)
+	w := n.addWaiter()
 	defer n.removeWaiter(w)
 	for {
 		select {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faultexpr"
 	"repro/internal/spec"
 	"repro/internal/timeline"
@@ -823,4 +824,39 @@ func TestHandleString(t *testing.T) {
 	if !found {
 		t.Error("note not recorded")
 	}
+}
+
+func TestHandleSleepZeroAllocVirtual(t *testing.T) {
+	// Handle.Sleep reuses the node's spare waiter and the scheduler's free
+	// lists, so after its first call a sleep on a live node allocates
+	// nothing — whether it parks behind the node's own timer or not.
+	v := clock.NewVirtual()
+	rt := New(Config{Logf: t.Logf, Clock: v, Source: v.Source()})
+	rt.AddHost("h1", vclock.ClockConfig{})
+	err := rt.Register(NodeDef{
+		Nickname: "sleeper", Spec: simpleSpec(),
+		App: scriptApp{main: func(h *Handle) {
+			for h.Sleep(5 * time.Microsecond) {
+			}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := rt.StartNode("sleeper", "h1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Drive()
+	h := n.Handle()
+	h.Sleep(time.Microsecond)
+	if allocs := testing.AllocsPerRun(100, func() { h.Sleep(2 * time.Microsecond) }); allocs != 0 {
+		t.Fatalf("Handle.Sleep: %v allocs/op, want 0", allocs)
+	}
+	rt.KillAll()
+	if !rt.Wait(time.Second) {
+		t.Fatal("node did not stop after KillAll")
+	}
+	v.Release()
+	rt.Shutdown()
 }

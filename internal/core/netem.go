@@ -32,7 +32,7 @@ import (
 type netem struct {
 	mu         sync.Mutex
 	seed       int64
-	rng        *rand.Rand
+	rng        *rand.Rand // built from seed before the first Consult; nil until then
 	partitions map[[2]string]bool
 	filters    simnet.FilterSet
 	epoch      uint64
@@ -53,19 +53,20 @@ type netem struct {
 func newNetem(seed int64) *netem {
 	return &netem{
 		seed:       seed,
-		rng:        rand.New(rand.NewSource(seed)),
 		partitions: make(map[[2]string]bool),
 	}
 }
 
 // reset clears all shaping state and reseeds the randomness, so every
-// experiment of a study faces an identical, freshly-seeded network.
+// experiment of a study faces an identical, freshly-seeded network. The
+// source itself is built lazily by shapeAppMessage: seeding math/rand
+// costs about 5 KiB, which an experiment with no filters never needs.
 func (ne *netem) reset() {
 	ne.expMu.Lock()
 	ne.mu.Lock()
 	ne.partitions = make(map[[2]string]bool)
 	ne.filters.Clear()
-	ne.rng = rand.New(rand.NewSource(ne.seed))
+	ne.rng = nil
 	ne.epoch++
 	ne.shaping.Store(0)
 	ne.mu.Unlock()
@@ -84,11 +85,13 @@ func (ne *netem) bumpEpoch() {
 }
 
 // SeedNetem reseeds the application-bus traffic shaping randomness (drop
-// probabilities and the like). Takes effect from the next experiment reset.
+// probabilities and the like). It takes effect immediately: the next
+// shaped message draws from a fresh stream of seed, as does the first one
+// after every experiment reset.
 func (r *Runtime) SeedNetem(seed int64) {
 	r.netem.mu.Lock()
 	r.netem.seed = seed
-	r.netem.rng = rand.New(rand.NewSource(seed))
+	r.netem.rng = nil
 	r.netem.mu.Unlock()
 }
 
@@ -247,6 +250,11 @@ func (r *Runtime) shapeAppMessage(fromHost, toHost string, payload interface{}) 
 	defer ne.mu.Unlock()
 	if fromHost != toHost && ne.partitions[hostPair(fromHost, toHost)] {
 		return simnet.Fate{}, true
+	}
+	if ne.rng == nil {
+		// Built on first use from the same seed: no draw happens before
+		// this point, so the stream is the one eager seeding would give.
+		ne.rng = rand.New(rand.NewSource(ne.seed))
 	}
 	return ne.filters.Consult(fromHost, toHost, payload, ne.rng), false
 }

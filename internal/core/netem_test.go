@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -231,3 +232,53 @@ type appFunc func(h *Handle)
 
 func (f appFunc) Main(h *Handle)            { f(h) }
 func (appFunc) InjectFault(*Handle, string) {}
+
+func TestNetemLazySeedMatchesEagerStream(t *testing.T) {
+	const seed = 4242
+	drop := simnet.DropFilter{P: 0.5}
+	link := simnet.Link{From: "h1", To: "h2"}
+	eager := func(seed int64, n int) []bool {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = drop.Filter("h1", "h2", nil, rng).Drop
+		}
+		return out
+	}
+	shaped := func(rt *Runtime, n int) []bool {
+		out := make([]bool, n)
+		for i := range out {
+			fate, blocked := rt.shapeAppMessage("h1", "h2", nil)
+			if blocked {
+				t.Fatal("no partition installed, yet blocked")
+			}
+			out[i] = fate.Drop
+		}
+		return out
+	}
+	same := func(what string, got, want []bool) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: fate %d = %v, want %v (eager stream %v)", what, i, got[i], want[i], want)
+			}
+		}
+	}
+
+	rt := New(Config{})
+	defer rt.Shutdown()
+	rt.SeedNetem(seed)
+	want := eager(seed, 32)
+	for round := 0; round < 2; round++ {
+		rt.netem.reset()
+		if rt.netem.rng != nil {
+			t.Fatal("reset built the shaping source eagerly")
+		}
+		rt.InstallLinkFilter(link, "drop", drop)
+		same("after reset", shaped(rt, len(want)), want)
+	}
+
+	// SeedNetem takes effect at once, not at the next reset.
+	rt.SeedNetem(seed + 1)
+	same("after SeedNetem", shaped(rt, 16), eager(seed+1, 16))
+}

@@ -66,6 +66,7 @@ type Node struct {
 	// under virtual time.
 	wmu     sync.Mutex
 	waiters []clock.Waiter
+	spare   []clock.Waiter // released by removeWaiter, reused by addWaiter
 }
 
 // Lifecycle outcomes.
@@ -153,14 +154,27 @@ func (n *Node) run() {
 	})
 }
 
-// addWaiter registers a goroutine blocked on this node's events.
-func (n *Node) addWaiter(w clock.Waiter) {
+// addWaiter registers a waiter for a goroutine about to block on this
+// node's events, reusing one that removeWaiter released when it can. A
+// reused waiter may still hold a sticky wake from its last use; Wait(0)
+// drains it, so the new use starts clean (spurious wakes are harmless
+// anyway: waiters loop and re-check).
+func (n *Node) addWaiter() clock.Waiter {
 	n.wmu.Lock()
+	defer n.wmu.Unlock()
+	var w clock.Waiter
+	if k := len(n.spare); k > 0 {
+		w = n.spare[k-1]
+		n.spare = n.spare[:k-1]
+		w.Wait(0)
+	} else {
+		w = n.rt.clk.NewWaiter()
+	}
 	n.waiters = append(n.waiters, w)
-	n.wmu.Unlock()
+	return w
 }
 
-// removeWaiter deregisters w.
+// removeWaiter deregisters w and keeps it for the next addWaiter.
 func (n *Node) removeWaiter(w clock.Waiter) {
 	n.wmu.Lock()
 	for i, nw := range n.waiters {
@@ -169,6 +183,7 @@ func (n *Node) removeWaiter(w clock.Waiter) {
 			break
 		}
 	}
+	n.spare = append(n.spare, w)
 	n.wmu.Unlock()
 }
 
@@ -459,8 +474,7 @@ func (h *Handle) Sleep(d time.Duration) bool {
 	}
 	clk := n.rt.clk
 	deadline := clk.Now().Add(d)
-	w := clk.NewWaiter()
-	n.addWaiter(w)
+	w := n.addWaiter()
 	defer n.removeWaiter(w)
 	for {
 		if n.stopping() {

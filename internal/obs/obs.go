@@ -16,8 +16,8 @@
 // events by content, so even racing identical emitters cannot reorder the
 // artifact. The only place obs itself reads the wall clock is latency
 // measurement (Now/ObserveSince) and log line timestamps — operational
-// signals that never enter a trace artifact. scripts/forbid_wallclock.sh
-// allowlists this package for exactly that reason.
+// signals that never enter a trace artifact. The lokilint wallclock
+// analyzer (internal/lint) allowlists this package for exactly that reason.
 package obs
 
 import (
