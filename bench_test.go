@@ -6,6 +6,7 @@
 package loki_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -122,6 +123,22 @@ func BenchmarkFig42_PredicateTimelines(b *testing.B) {
 	}
 }
 
+// runSession opens a session over c with opts and runs it to completion,
+// failing tb on any error.
+func runSession(tb testing.TB, c *loki.Campaign, opts ...loki.Option) *loki.SessionResult {
+	tb.Helper()
+	s, err := loki.Open(c, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // electionCampaign builds the Chapter 5 campaign used by the E5.x benches.
 func electionCampaign(name string, experiments int, restart bool, seed int64) *loki.Campaign {
 	return electionCampaignRunFor(name, experiments, restart, seed, 80*time.Millisecond)
@@ -188,10 +205,7 @@ func BenchmarkCh5_CoverageCampaign(b *testing.B) {
 		// experiments; election outcomes are random, so try a few seeds.
 		var study *loki.StudyOutcome
 		for attempt := 0; attempt < 5; attempt++ {
-			out, err := loki.RunCampaign(electionCampaign("cov", 3, true, int64(i)*11+int64(attempt)))
-			if err != nil {
-				b.Fatal(err)
-			}
+			out := runSession(b, electionCampaign("cov", 3, true, int64(i)*11+int64(attempt))).Campaign
 			study = out.Study("study1")
 			if crashed(study) {
 				break
@@ -249,11 +263,8 @@ func BenchmarkCh5_CorrelationCampaign(b *testing.B) {
 		// experiments; election outcomes are random, so try a few seeds.
 		var study *loki.StudyOutcome
 		for attempt := 0; attempt < 5; attempt++ {
-			out, err := loki.RunCampaign(electionCampaignRunFor("corr", 3, false,
-				100+int64(i)*7+int64(attempt), 200*time.Millisecond))
-			if err != nil {
-				b.Fatal(err)
-			}
+			out := runSession(b, electionCampaignRunFor("corr", 3, false,
+				100+int64(i)*7+int64(attempt), 200*time.Millisecond)).Campaign
 			study = out.Study("study1")
 			if crashed(study) {
 				break
@@ -524,19 +535,13 @@ func BenchmarkAblation_SameClockCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c1 := electionCampaign("abl-exact", 3, false, 500+int64(i))
 		swapBlackOffReference(c1)
-		out1, err := loki.RunCampaign(c1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out1 := runSession(b, c1).Campaign
 		withExact = out1.Study("study1").AcceptanceRate()
 
 		c2 := electionCampaign("abl-proj", 3, false, 500+int64(i))
 		swapBlackOffReference(c2)
 		c2.Check = loki.CheckOptions{ProjectionOnly: true}
-		out2, err := loki.RunCampaign(c2)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out2 := runSession(b, c2).Campaign
 		projOnly = out2.Study("study1").AcceptanceRate()
 	}
 	b.ReportMetric(withExact, "acceptance_same_clock")

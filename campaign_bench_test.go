@@ -1,14 +1,11 @@
 // Benchmarks for the parallel campaign engine and the notification hot
-// path. See EXPERIMENTS.md for the recorded figures; the JSON emitter
-// below regenerates BENCH_campaign.json.
+// path. lokibench (lokibench/DESIGN.md) holds the end-to-end figures.
 //
 //	go test -bench='BenchmarkCampaign|BenchmarkNotify' -benchmem
 package loki_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -35,10 +32,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 			b.ReportAllocs()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				out, err := loki.RunCampaign(throughputCampaign(experiments, workers, int64(i)))
-				if err != nil {
-					b.Fatal(err)
-				}
+				out := runSession(b, throughputCampaign(experiments, workers, int64(i))).Campaign
 				if n := len(out.Study("study1").Records); n != experiments {
 					b.Fatalf("got %d records, want %d", n, experiments)
 				}
@@ -123,75 +117,5 @@ f4 ((solo:A) & (solo:B)) always
 		} else {
 			ev = "flip"
 		}
-	}
-}
-
-// TestEmitCampaignBenchJSON regenerates BENCH_campaign.json, the
-// campaign-throughput record referenced by EXPERIMENTS.md. Skipped in
-// -short mode (CI smoke runs stay fast).
-func TestEmitCampaignBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping bench JSON emission in short mode")
-	}
-	type row struct {
-		Workers        int     `json:"workers"`
-		Virtual        bool    `json:"virtual_time,omitempty"`
-		Experiments    int     `json:"experiments"`
-		ElapsedSec     float64 `json:"elapsed_sec"`
-		ExperimentsSec float64 `json:"experiments_per_sec"`
-		Accepted       int     `json:"accepted"`
-	}
-	type doc struct {
-		Name string `json:"name"`
-		Rows []row  `json:"rows"`
-		// Worker-pool scaling on the wall clock, then the virtual-time
-		// engine's single-worker speedup over the same campaign: the two
-		// orthogonal throughput levers.
-		SpeedupX8       float64 `json:"speedup_8_vs_1"`
-		VirtualSpeedupX float64 `json:"virtual_speedup_vs_real_1"`
-	}
-	const experiments = 16
-	out := doc{Name: "campaign-throughput"}
-	run := func(workers int, virtual bool) row {
-		c := throughputCampaign(experiments, workers, 42)
-		c.VirtualTime = virtual
-		start := time.Now()
-		res, err := loki.RunCampaign(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		elapsed := time.Since(start).Seconds()
-		sr := res.Study("study1")
-		accepted := 0
-		for _, r := range sr.Records {
-			if r.Accepted {
-				accepted++
-			}
-		}
-		t.Logf("workers=%d virtual=%v: %.2f experiments/sec (%d accepted)",
-			workers, virtual, float64(experiments)/elapsed, accepted)
-		return row{
-			Workers:        workers,
-			Virtual:        virtual,
-			Experiments:    experiments,
-			ElapsedSec:     elapsed,
-			ExperimentsSec: float64(experiments) / elapsed,
-			Accepted:       accepted,
-		}
-	}
-	for _, workers := range []int{1, 4, 8} {
-		out.Rows = append(out.Rows, run(workers, false))
-	}
-	for _, workers := range []int{1, 8} {
-		out.Rows = append(out.Rows, run(workers, true))
-	}
-	out.SpeedupX8 = out.Rows[2].ExperimentsSec / out.Rows[0].ExperimentsSec
-	out.VirtualSpeedupX = out.Rows[3].ExperimentsSec / out.Rows[0].ExperimentsSec
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_campaign.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

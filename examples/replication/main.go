@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -91,10 +92,16 @@ func main() {
 			RemoteDelay: 300 * time.Microsecond,
 		},
 	}
-	out, err := loki.RunCampaign(c)
+	s, err := loki.Open(c)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer s.Close()
+	res, err := s.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	out := res.Campaign
 	study := out.Study("failover")
 	fmt.Printf("study %s: %d experiments, acceptance rate %.2f\n",
 		study.Name, len(study.Records), study.AcceptanceRate())

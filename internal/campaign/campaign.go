@@ -278,11 +278,11 @@ func validateVirtualTransport(c *Campaign, st *Study) error {
 	return nil
 }
 
-// watchContext runs onCancel (once) when ctx is cancelled. The returned
+// watchCancel runs onCancel (once) when ctx is cancelled. The returned
 // stop function joins the watcher, guaranteeing onCancel either already
 // ran or never will — the happens-before edge the callers need before
 // reading state onCancel writes.
-func watchContext(ctx context.Context, onCancel func()) (stop func()) {
+func watchCancel(ctx context.Context, onCancel func()) (stop func()) {
 	stopCh := make(chan struct{})
 	exited := make(chan struct{})
 	go func() {
@@ -300,14 +300,11 @@ func watchContext(ctx context.Context, onCancel func()) (stop func()) {
 }
 
 // Run executes the campaign: every experiment of every study, runtime
-// phase through analysis phase.
-func Run(c *Campaign) (*Result, error) { return RunContext(context.Background(), c) }
-
-// RunContext is Run with cancellation: when ctx is cancelled, no further
+// phase through analysis phase. When ctx is cancelled, no further
 // experiments are dispatched, in-flight experiments drain (a runtime phase
 // is never interrupted mid-experiment; clustered studies are quit at the
-// protocol level), and the first error returned is ctx.Err().
-func RunContext(ctx context.Context, c *Campaign) (*Result, error) {
+// protocol level), and the returned error wraps ctx.Err().
+func Run(ctx context.Context, c *Campaign) (*Result, error) {
 	if err := Validate(c); err != nil {
 		return nil, err
 	}
@@ -330,6 +327,31 @@ func RunContext(ctx context.Context, c *Campaign) (*Result, error) {
 	return res, nil
 }
 
+// clustered reports whether the study's Transport is a socket kind, which
+// runs on a loopback cluster instead of the worker pool.
+func clustered(st *Study) bool { return st.Transport != "" && st.Transport != "inproc" }
+
+// studyTimeout is the study's experiment timeout, defaulting to 5 s.
+func studyTimeout(st *Study) time.Duration {
+	if st.Timeout <= 0 {
+		return 5 * time.Second
+	}
+	return st.Timeout
+}
+
+// studyPoint names the study (or matrix point) for traces and progress
+// events: the journal's record namespace when one is bound, else the
+// matrix point, else the study name.
+func studyPoint(c *Campaign, st *Study, sj *studyJournal) string {
+	switch {
+	case sj != nil:
+		return sj.point
+	case c.matrixPoint != "":
+		return c.matrixPoint
+	}
+	return st.Name
+}
+
 // runStudyOn dispatches a study to the engine its Transport selects: ""
 // or "inproc" runs on the in-memory bus with the campaign's worker pool;
 // socket kinds run clustered — one runtime per host, every cross-host
@@ -340,7 +362,7 @@ func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (
 	if err := validateVirtualTransport(c, st); err != nil {
 		return nil, err
 	}
-	if st.Transport != "" && st.Transport != "inproc" {
+	if clustered(st) {
 		return runClustered(ctx, c, st, st.Transport, sj)
 	}
 	return runStudy(ctx, c, st, sj)
@@ -355,15 +377,11 @@ func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (
 // A study with a socket Transport runs through the clustered loopback
 // engine — the transport is never silently downgraded to inproc, matching
 // runStudyOn. With a Checkpoint configured, a completed experiment in the
-// journal is returned (artifacts included) without rerunning.
-func RunSingle(c *Campaign) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
-	return RunSingleContext(context.Background(), c)
-}
-
-// RunSingleContext is RunSingle with cancellation: a clustered experiment
-// is quit at the protocol level; an in-process one is not started when ctx
-// is already done (a single runtime phase is never interrupted midway).
-func RunSingleContext(ctx context.Context, c *Campaign) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
+// journal is returned (artifacts included) without building a runtime or
+// a cluster. Cancelling ctx quits a clustered experiment at the protocol
+// level; an in-process one is not started when ctx is already done (a
+// single runtime phase is never interrupted midway).
+func RunSingle(ctx context.Context, c *Campaign) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
 	if len(c.Hosts) == 0 || len(c.Studies) == 0 {
 		return nil, nil, nil, fmt.Errorf("campaign: need hosts and a study")
 	}
@@ -380,55 +398,54 @@ func RunSingleContext(ctx context.Context, c *Campaign) (*ExperimentRecord, []cl
 	}
 	defer j.Close()
 	sj := j.study(c, st, st.Name)
-	if rec, locals, stamps, err := sj.lookupRaw(0); err != nil {
-		return nil, nil, nil, err
-	} else if rec != nil {
-		return rec, stamps, locals, nil
-	}
-
-	if st.Transport != "" && st.Transport != "inproc" {
-		var (
-			rec    *ExperimentRecord
-			stamps []clocksync.StampedMessage
-			locals []*timeline.Local
-		)
-		err := withLoopbackCluster(c, st, st.Transport, func(coordinator *Member) error {
-			coordinator.sj = sj
-			var err error
-			rec, stamps, locals, err = coordinator.RunOneContext(ctx)
-			return err
-		})
-		if err != nil {
-			return nil, nil, nil, err
+	return runSingle(ctx, c, st, sj, func(index int) (raw *rawExperiment, err error) {
+		if clustered(st) {
+			err = withLoopbackCluster(c, st, st.Transport, func(coordinator *Member) error {
+				return coordinator.coordinate(ctx, 1, func() (bool, error) {
+					var err error
+					raw, err = coordinator.runOne(index)
+					return true, err
+				})
+			})
+			return raw, err
 		}
-		return rec, stamps, locals, nil
-	}
+		run, release, err := poolRunner(c, st, studyPoint(c, st, sj))
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		return run(index)
+	})
+}
 
+// runSingle is the single-shot pipeline RunSingle and Member.RunOne
+// share: a journaled experiment 0 comes back with its raw artifacts
+// without running; otherwise run executes it, and its record is analyzed
+// and journaled together with those artifacts. A done ctx starts nothing,
+// and its error wins over the one a quit cluster protocol produces.
+func runSingle(ctx context.Context, c *Campaign, st *Study, sj *studyJournal, run runner) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
+	if rec, locals, stamps, err := sj.lookupRaw(0); err != nil || rec != nil {
+		return rec, stamps, locals, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	timeout := st.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	rt, cd, ref, err := newStudyRuntime(c, st)
+	raw, err := run(0)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer rt.Shutdown()
-
-	raw, err := runRuntimePhase(c, st, rt, cd, ref, st.Name, 0, timeout)
-	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, nil, nil, ctxErr
+		}
 		return nil, nil, nil, err
 	}
 	rec, err := analyzeExperiment(c, st, raw)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := sj.recordRaw(rec, raw.locals, raw.allStamps()); err != nil {
+	stamps := raw.allStamps()
+	if err := sj.recordRaw(rec, raw.locals, stamps); err != nil {
 		return nil, nil, nil, err
 	}
-	return rec, raw.allStamps(), raw.locals, nil
+	return rec, stamps, raw.locals, nil
 }
 
 // rawExperiment is the runtime phase's output handed to the analysis
@@ -511,31 +528,79 @@ func newStudyRuntime(c *Campaign, st *Study) (*core.Runtime, *core.CentralDaemon
 	return rt, core.NewCentralDaemon(rt), referenceHost(rt), nil
 }
 
-// runStudy executes a study's experiments on a worker pool with a
-// pipelined analysis stage: runtime workers (each owning a private
-// runtime) feed raw experiment artifacts to analysis workers, so the
-// clock-sync/global-timeline/containment work for experiment k overlaps
-// the runtime phase of experiment k+1 — even with a single runtime worker.
-// Records land at their experiment index regardless of completion order,
-// so parallel and sequential runs order results identically.
+// runner executes one experiment's runtime phase and hands back its raw
+// artifacts. Each study worker owns one runner and calls it sequentially.
+type runner func(index int) (*rawExperiment, error)
+
+// runStudy executes a study on the in-process worker pool: each worker
+// owns a private runtime (poolRunner), driven by the shared study loop.
+func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*StudyResult, error) {
+	workers := c.Workers
+	if st.Workers > 0 {
+		workers = st.Workers
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	point := studyPoint(c, st, sj)
+	return driveStudy(ctx, c, st, sj, "", workers, func() (runner, func(), error) {
+		return poolRunner(c, st, point)
+	})
+}
+
+// poolRunner builds one pool worker's private runtime and returns the
+// runner that executes runtime phases on it, plus the release function
+// that exports the worker's virtual-clock activity (the scheduler's
+// counters are cumulative over the worker's whole run) and shuts the
+// runtime down.
+func poolRunner(c *Campaign, st *Study, point string) (runner, func(), error) {
+	rt, cd, ref, err := newStudyRuntime(c, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	timeout := studyTimeout(st)
+	run := func(index int) (*rawExperiment, error) {
+		return runRuntimePhase(c, st, rt, cd, ref, point, index, timeout)
+	}
+	release := func() {
+		if cm := c.Obs.CampaignMetrics(); cm != nil {
+			if v, ok := rt.Clock().(*clock.Virtual); ok {
+				s := v.Stats()
+				cm.VClockTimersFired.Add(s.FiredTimers)
+				cm.VClockTasks.Add(s.Tasks)
+			}
+		}
+		rt.Shutdown()
+	}
+	return run, release, nil
+}
+
+// driveStudy is the one study loop, shared by the worker pool and the
+// cluster coordinator. newRunner builds one worker's runner and its
+// release function (nil: nothing to release); runtime workers feed raw
+// experiment artifacts to analysis workers, so the clock-sync/global-
+// timeline/containment work for experiment k overlaps the runtime phase
+// of experiment k+1 — even with a single runtime worker. Records land at
+// their experiment index regardless of completion order, so parallel and
+// sequential runs order results identically. member labels the progress
+// events (a coordinator's peer name; "" for the pool).
 //
 // With a journal, experiments already journaled are loaded instead of
-// re-executed, and each freshly analyzed record is appended as it
-// completes — a killed study resumes at the first missing index.
+// re-executed — when all are, no runner is built at all — and each freshly
+// analyzed record is appended as it completes, so a killed study resumes
+// at the first missing index.
 //
 // Cancelling ctx stops dispatching further experiment indexes; in-flight
 // runtime phases finish (journaling their records, so a resumed run loses
-// nothing) and ctx.Err() is returned.
-func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*StudyResult, error) {
+// nothing) and ctx.Err() is returned — also when a runner failed because
+// the cancellation quit its cluster protocol.
+func driveStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal, member string, workers int,
+	newRunner func() (runner, func(), error)) (*StudyResult, error) {
+
 	experiments := st.Experiments
 	if err := ValidateExperiments(st.Name, experiments); err != nil {
 		return nil, err
 	}
-	timeout := st.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-
 	records := make([]*ExperimentRecord, experiments)
 	var missing []int
 	for i := 0; i < experiments; i++ {
@@ -551,13 +616,7 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*S
 	}
 	// Progress events carry cumulative counts, journaled records included,
 	// so a resumed study's watcher sees 7000/10000 — not 0/3000.
-	point := st.Name
-	if c.matrixPoint != "" {
-		point = c.matrixPoint
-	}
-	if sj != nil {
-		point = sj.point
-	}
+	point := studyPoint(c, st, sj)
 	var progressDone, progressAccepted atomic.Int64
 	for _, rec := range records {
 		if rec == nil {
@@ -570,12 +629,12 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*S
 	}
 	c.Obs.Emit(obs.Event{
 		Kind: obs.EventStudyStart, Point: point, Experiments: experiments,
-		Completed: int(progressDone.Load()), Accepted: int(progressAccepted.Load()),
+		Completed: int(progressDone.Load()), Accepted: int(progressAccepted.Load()), Member: member,
 	})
 	defer func() {
 		c.Obs.Emit(obs.Event{
 			Kind: obs.EventStudyDone, Point: point, Experiments: experiments,
-			Completed: int(progressDone.Load()), Accepted: int(progressAccepted.Load()),
+			Completed: int(progressDone.Load()), Accepted: int(progressAccepted.Load()), Member: member,
 		})
 	}()
 	if len(missing) == 0 {
@@ -584,13 +643,6 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*S
 		return &StudyResult{Name: st.Name, Records: records}, nil
 	}
 
-	workers := c.Workers
-	if st.Workers > 0 {
-		workers = st.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > len(missing) {
 		workers = len(missing)
 	}
@@ -618,7 +670,7 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*S
 	// journaled (a resumed run loses nothing), and ctx.Err() surfaces at
 	// the end. Real failures close done and drop queued work.
 	stopDispatch := make(chan struct{})
-	stopWatch := watchContext(ctx, func() { close(stopDispatch) })
+	stopWatch := watchCancel(ctx, func() { close(stopDispatch) })
 
 	idxCh := make(chan int)
 	go func() {
@@ -641,35 +693,25 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*S
 		runWG.Add(1)
 		go func() {
 			defer runWG.Done()
-			rt, cd, ref, err := newStudyRuntime(c, st)
+			run, release, err := newRunner()
 			if err != nil {
 				fail(err)
 				return
 			}
-			defer rt.Shutdown()
-			if cm != nil {
-				// Export the worker's virtual-clock activity when it
-				// retires; the scheduler's counters are cumulative over the
-				// worker's whole run.
-				defer func() {
-					if v, ok := rt.Clock().(*clock.Virtual); ok {
-						s := v.Stats()
-						cm.VClockTimersFired.Add(s.FiredTimers)
-						cm.VClockTasks.Add(s.Tasks)
-					}
-				}()
+			if release != nil {
+				defer release()
 			}
 			for i := range idxCh {
 				var busy time.Time
 				if cm != nil {
 					busy = obs.Now()
 				}
-				raw, err := runRuntimePhase(c, st, rt, cd, ref, point, i, timeout)
+				raw, err := run(i)
 				if cm != nil {
 					cm.WorkerBusySeconds.ObserveSince(busy)
 				}
 				if err != nil {
-					fail(err)
+					fail(fmt.Errorf("experiment %d: %w", i, err))
 					return
 				}
 				select {
@@ -711,7 +753,7 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*S
 				c.Obs.Emit(obs.Event{
 					Kind: obs.EventExperiment, Point: point, Index: raw.index,
 					Experiments: experiments, Completed: nDone,
-					Accepted: int(progressAccepted.Load()), AcceptedOne: rec.Accepted,
+					Accepted: int(progressAccepted.Load()), AcceptedOne: rec.Accepted, Member: member,
 				})
 			}
 		}()
@@ -719,15 +761,79 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*S
 	anWG.Wait()
 	stopWatch()
 
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	// A cancelled study surfaces ctx.Err() — after the drain above has
 	// journaled everything that was in flight.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
 	return &StudyResult{Name: st.Name, Records: records}, nil
+}
+
+// The runtime phase's steps, in order, as phaseTimer records them.
+const (
+	stepReset = iota
+	stepSyncPre
+	stepExperiment
+	stepSyncPost
+)
+
+var stepSpans = [...]string{"reset", "clock-sync-pre", "experiment", "clock-sync-post"}
+
+// phaseTimer times one experiment's runtime-phase steps for both engines.
+// Timestamps come from the runtime clock — the injected wall clock in
+// real time, the simulated clock under virtual time — so the trace of a
+// virtual run is byte-reproducible. Each step becomes a trace span and an
+// observation of its phase histogram; with tracing and metrics off no
+// clock is read at all.
+type phaseTimer struct {
+	rt   *core.Runtime
+	clk  clock.Clock
+	tr   *obs.Trace
+	cm   *obs.CampaignMetrics
+	last time.Time // end of the previous step, start of the current one
+}
+
+// startPhases opens the experiment's trace on rt (when tracing) and
+// starts timing its first step. stop detaches the trace again.
+func startPhases(c *Campaign, rt *core.Runtime, point string, index int) phaseTimer {
+	p := phaseTimer{rt: rt, clk: rt.Clock(), cm: c.Obs.CampaignMetrics()}
+	if c.Obs.Tracing() {
+		p.tr = obs.NewTrace(point, index)
+		rt.SetTrace(p.tr)
+	}
+	if p.tr != nil || p.cm != nil {
+		p.last = p.clk.Now()
+	}
+	return p
+}
+
+// lap ends the given step at the current clock reading.
+func (p *phaseTimer) lap(step int) {
+	if p.tr == nil && p.cm == nil {
+		return
+	}
+	now := p.clk.Now()
+	p.tr.Span(stepSpans[step], p.last, now)
+	if p.cm != nil {
+		h := p.cm.SyncSeconds
+		switch step {
+		case stepReset:
+			h = p.cm.ResetSeconds
+		case stepExperiment:
+			h = p.cm.RunSeconds
+		}
+		h.Observe(now.Sub(p.last).Seconds())
+	}
+	p.last = now
+}
+
+func (p *phaseTimer) stop() {
+	if p.tr != nil {
+		p.rt.SetTrace(nil)
+	}
 }
 
 // runRuntimePhase executes one experiment's runtime phase on the worker's
@@ -745,23 +851,8 @@ func runRuntimePhase(c *Campaign, st *Study, rt *core.Runtime, cd *core.CentralD
 		v.Drive()
 		defer v.Release()
 	}
-
-	// Phase timestamps come from the runtime clock — the injected wall
-	// clock in real time, the simulated clock under virtual time — so the
-	// trace of a virtual run is byte-reproducible.
-	var tr *obs.Trace
-	if c.Obs.Tracing() {
-		tr = obs.NewTrace(point, index)
-		rt.SetTrace(tr)
-		defer rt.SetTrace(nil)
-	}
-	cm := c.Obs.CampaignMetrics()
-	clk := rt.Clock()
-	var t0, t1, t2, t3, end time.Time
-	observing := tr != nil || cm != nil
-	if observing {
-		t0 = clk.Now()
-	}
+	ph := startPhases(c, rt, point, index)
+	defer ph.stop()
 
 	// Reset BEFORE the pre-sync mini-phase: the previous experiment's
 	// faults (a stepped clock above all) must not leak into this
@@ -770,25 +861,11 @@ func runRuntimePhase(c *Campaign, st *Study, rt *core.Runtime, cd *core.CentralD
 	// RunExperiment resets again internally; the second reset is a no-op
 	// by then.
 	rt.ResetExperiment()
-
-	if observing {
-		t1 = clk.Now()
-		tr.Span("reset", t0, t1)
-		if cm != nil {
-			cm.ResetSeconds.Observe(t1.Sub(t0).Seconds())
-		}
-	}
+	ph.lap(stepReset)
 
 	// Pre-experiment synchronization mini-phase (§2.3).
 	stamps := exchangeStamps(rt, ref, c.Sync)
-
-	if observing {
-		t2 = clk.Now()
-		tr.Span("clock-sync-pre", t1, t2)
-		if cm != nil {
-			cm.SyncSeconds.Observe(t2.Sub(t1).Seconds())
-		}
-	}
+	ph.lap(stepSyncPre)
 
 	// Runtime phase, with the supervisor restarting crashed nodes if the
 	// study asks for it.
@@ -803,25 +880,11 @@ func runRuntimePhase(c *Campaign, st *Study, rt *core.Runtime, cd *core.CentralD
 	if err != nil {
 		return nil, err
 	}
-
-	if observing {
-		t3 = clk.Now()
-		tr.Span("experiment", t2, t3)
-		if cm != nil {
-			cm.RunSeconds.Observe(t3.Sub(t2).Seconds())
-		}
-	}
+	ph.lap(stepExperiment)
 
 	// Post-experiment synchronization mini-phase.
 	postStamps := exchangeStamps(rt, ref, c.Sync)
-
-	if observing {
-		end = clk.Now()
-		tr.Span("clock-sync-post", t3, end)
-		if cm != nil {
-			cm.SyncSeconds.Observe(end.Sub(t3).Seconds())
-		}
-	}
+	ph.lap(stepSyncPost)
 
 	return &rawExperiment{
 		index:      index,
@@ -831,8 +894,8 @@ func runRuntimePhase(c *Campaign, st *Study, rt *core.Runtime, cd *core.CentralD
 		postStamps: postStamps,
 		locals:     snapshotTimelines(runRes.Timelines),
 		ref:        ref,
-		trace:      tr,
-		traceEnd:   end,
+		trace:      ph.tr,
+		traceEnd:   ph.last,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -78,7 +79,7 @@ func TestElectionCampaignEndToEnd(t *testing.T) {
 		Studies: []*Study{electionStudy("study1", 4, true)},
 		Sync:    SyncConfig{Messages: 10, Transit: 20 * time.Microsecond, Spacing: 50 * time.Microsecond},
 	}
-	res, err := Run(c)
+	res, err := Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestCampaignClockBoundsContainTruth(t *testing.T) {
 	for _, h := range c.Hosts {
 		truth[h.Name] = h.Clock
 	}
-	res, err := Run(c)
+	res, err := Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +192,10 @@ func TestCampaignClockBoundsContainTruth(t *testing.T) {
 }
 
 func TestCampaignValidation(t *testing.T) {
-	if _, err := Run(&Campaign{}); err == nil {
+	if _, err := Run(context.Background(), &Campaign{}); err == nil {
 		t.Error("empty campaign accepted")
 	}
-	if _, err := Run(&Campaign{Hosts: hostDefs()}); err == nil {
+	if _, err := Run(context.Background(), &Campaign{Hosts: hostDefs()}); err == nil {
 		t.Error("studyless campaign accepted")
 	}
 	bad := &Campaign{
@@ -204,7 +205,7 @@ func TestCampaignValidation(t *testing.T) {
 			Nodes: []core.NodeDef{{Nickname: ""}},
 		}},
 	}
-	if _, err := Run(bad); err == nil {
+	if _, err := Run(context.Background(), bad); err == nil {
 		t.Error("invalid node def accepted")
 	}
 }
@@ -242,7 +243,7 @@ state A
 		}},
 		Sync: SyncConfig{Messages: 3, Transit: 10 * time.Microsecond, Spacing: 20 * time.Microsecond},
 	}
-	res, err := Run(c)
+	res, err := Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestCampaignRequireTriggered(t *testing.T) {
 		Sync:    SyncConfig{Messages: 8, Transit: 20 * time.Microsecond, Spacing: 50 * time.Microsecond},
 		Check:   analysis.CheckOptions{RequireTriggered: true},
 	}
-	res, err := Run(c)
+	res, err := Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

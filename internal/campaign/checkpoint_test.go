@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -114,7 +115,7 @@ func TestCheckpointResumeSkipsCompletedExperiments(t *testing.T) {
 	var ran1 int64
 	c1 := countingStepCampaign(t, experiments, 2, &ran1)
 	c1.Checkpoint = &Checkpoint{Dir: dir}
-	res1, err := Run(c1)
+	res1, err := Run(context.Background(), c1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestCheckpointResumeSkipsCompletedExperiments(t *testing.T) {
 	var ran2 int64
 	c2 := countingStepCampaign(t, experiments, 2, &ran2)
 	c2.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
-	res2, err := Run(c2)
+	res2, err := Run(context.Background(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestMatrixResumeAfterInterrupt(t *testing.T) {
 	// Interrupted run: with one worker, point seed1 completes (and is
 	// journaled) before seed2's build crashes the campaign.
 	var ran1 int64
-	if _, err := RunMatrix(newCampaign(false), newMatrix(true, &ran1)); !errors.Is(err, interrupt) {
+	if _, err := RunMatrix(context.Background(), newCampaign(false), newMatrix(true, &ran1)); !errors.Is(err, interrupt) {
 		t.Fatalf("interrupted RunMatrix error = %v, want the simulated crash", err)
 	}
 	if got := atomic.LoadInt64(&ran1); got != perPoint*3 {
@@ -232,7 +233,7 @@ func TestMatrixResumeAfterInterrupt(t *testing.T) {
 	// carried over without being rewritten, so the old journal is a byte
 	// prefix of the new one.
 	var ran2 int64
-	res, err := RunMatrix(newCampaign(true), newMatrix(false, &ran2))
+	res, err := RunMatrix(context.Background(), newCampaign(true), newMatrix(false, &ran2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestMatrixResumeAfterInterrupt(t *testing.T) {
 	cFresh := countingStepCampaign(t, perPoint, 1, nil)
 	cFresh.Studies = nil
 	cFresh.Checkpoint = &Checkpoint{Dir: freshDir}
-	resFresh, err := RunMatrix(cFresh, newMatrix(false, nil))
+	resFresh, err := RunMatrix(context.Background(), cFresh, newMatrix(false, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestCheckpointTornTailReexecuted(t *testing.T) {
 	dir := ckptDir(t, "torn-tail")
 	c1 := countingStepCampaign(t, 2, 1, nil)
 	c1.Checkpoint = &Checkpoint{Dir: dir}
-	if _, err := Run(c1); err != nil {
+	if _, err := Run(context.Background(), c1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -294,7 +295,7 @@ func TestCheckpointTornTailReexecuted(t *testing.T) {
 	var ran int64
 	c2 := countingStepCampaign(t, 2, 1, &ran)
 	c2.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
-	res, err := Run(c2)
+	res, err := Run(context.Background(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	dir := ckptDir(t, "fingerprint")
 	c1 := countingStepCampaign(t, 1, 1, nil)
 	c1.Checkpoint = &Checkpoint{Dir: dir}
-	if _, err := Run(c1); err != nil {
+	if _, err := Run(context.Background(), c1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -323,7 +324,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	c2 := countingStepCampaign(t, 1, 1, nil)
 	c2.Hosts[1].Clock.Offset++
 	c2.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
-	if _, err := Run(c2); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := Run(context.Background(), c2); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("changed campaign resumed silently: err = %v", err)
 	}
 
@@ -332,7 +333,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	c3 := countingStepCampaign(t, 1, 1, nil)
 	c3.Studies[0].ChaosSeed = 99
 	c3.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
-	if _, err := Run(c3); err == nil || !strings.Contains(err.Error(), "different study configuration") {
+	if _, err := Run(context.Background(), c3); err == nil || !strings.Contains(err.Error(), "different study configuration") {
 		t.Errorf("changed study resumed silently: err = %v", err)
 	}
 }
@@ -342,7 +343,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 func TestDuplicateStudyNamesRejected(t *testing.T) {
 	c := countingStepCampaign(t, 1, 1, nil)
 	c.Studies = append(c.Studies, c.Studies[0])
-	if _, err := Run(c); err == nil || !strings.Contains(err.Error(), "duplicate study name") {
+	if _, err := Run(context.Background(), c); err == nil || !strings.Contains(err.Error(), "duplicate study name") {
 		t.Fatalf("Run error = %v, want duplicate study name rejection", err)
 	}
 }
@@ -357,7 +358,7 @@ func TestDuplicatePointNamesRejected(t *testing.T) {
 	}
 	c := countingStepCampaign(t, 1, 1, nil)
 	c.Studies = nil
-	if _, err := RunMatrix(c, m); err == nil || !strings.Contains(err.Error(), "duplicate point name") {
+	if _, err := RunMatrix(context.Background(), c, m); err == nil || !strings.Contains(err.Error(), "duplicate point name") {
 		t.Fatalf("RunMatrix error = %v, want duplicate point name rejection", err)
 	}
 }
@@ -368,7 +369,7 @@ func TestDuplicatePointNamesRejected(t *testing.T) {
 func TestRunSingleRejectsUnknownTransport(t *testing.T) {
 	c := countingStepCampaign(t, 1, 1, nil)
 	c.Studies[0].Transport = "pigeon"
-	if _, _, _, err := RunSingle(c); err == nil {
+	if _, _, _, err := RunSingle(context.Background(), c); err == nil {
 		t.Fatal("RunSingle accepted an unknown transport kind (silent inproc downgrade)")
 	}
 }
@@ -382,7 +383,7 @@ func TestRunSingleClusteredResume(t *testing.T) {
 	c1 := countingStepCampaign(t, 1, 1, &ran1)
 	c1.Studies[0].Transport = "udp"
 	c1.Checkpoint = &Checkpoint{Dir: dir}
-	rec1, stamps1, locals1, err := RunSingle(c1)
+	rec1, stamps1, locals1, err := RunSingle(context.Background(), c1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestRunSingleClusteredResume(t *testing.T) {
 	c2 := countingStepCampaign(t, 1, 1, &ran2)
 	c2.Studies[0].Transport = "udp"
 	c2.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
-	rec2, stamps2, locals2, err := RunSingle(c2)
+	rec2, stamps2, locals2, err := RunSingle(context.Background(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}

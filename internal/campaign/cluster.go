@@ -166,16 +166,12 @@ type Member struct {
 // attaches when the study carries action faults.
 func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) {
 	topo := tr.Topology()
-	timeout := st.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
 	m := &Member{
 		c:       c,
 		st:      st,
 		tr:      tr,
 		peer:    topo.Local,
-		timeout: timeout,
+		timeout: studyTimeout(st),
 		inbox:   make(chan transport.Message, 256),
 		quit:    make(chan struct{}),
 	}
@@ -257,20 +253,6 @@ func (m *Member) Quit() {
 	m.quitOnce.Do(func() { close(m.quit) })
 }
 
-// quitOnCancel quits the member when ctx is cancelled; the returned stop
-// function joins the watch.
-func (m *Member) quitOnCancel(ctx context.Context) (stop func()) {
-	return watchContext(ctx, m.Quit)
-}
-
-// ServeContext is Serve with cancellation: non-coordinator members follow
-// the protocol until a stop frame, Quit, or ctx cancellation.
-func (m *Member) ServeContext(ctx context.Context) error {
-	stopWatch := m.quitOnCancel(ctx)
-	defer stopWatch()
-	return m.Serve()
-}
-
 // memberAlign is one peer's process-clock alignment: the NTP-style
 // midpoint offset θ = ((t1-t0)+(t2-t3))/2 from the sync round with the
 // smallest round-trip time, the standard minimum-delay filter.
@@ -348,9 +330,12 @@ func (m *Member) broadcastCtrl(op string, msg clusterMsg) {
 	}
 }
 
-// Serve follows the coordinator's protocol until a stop frame or channel
-// close. Non-coordinator members run this on their main goroutine.
-func (m *Member) Serve() error {
+// Serve follows the coordinator's protocol until a stop frame, Quit, or
+// ctx cancellation. Non-coordinator members run this on their main
+// goroutine.
+func (m *Member) Serve(ctx context.Context) error {
+	stopWatch := watchCancel(ctx, m.Quit)
+	defer stopWatch()
 	var (
 		index     = -1 // experiment being served
 		started   bool
@@ -667,157 +652,91 @@ func (m *Member) ensureJournal() (func(), error) {
 	return func() { j.Close() }, nil
 }
 
-// RunStudy drives the whole study from the coordinator member, returning
-// records identical in shape to the single-process engine's. Journaled
-// experiments are skipped (the members never see a reset for them); fresh
-// records are journaled as their analysis completes, so a crashed
-// coordinator resumes at the first missing experiment.
-func (m *Member) RunStudy() (*StudyResult, error) {
-	return m.RunStudyContext(context.Background())
+// coordinate wraps one coordinator run in the protocol's setup and
+// teardown. Cancelling ctx quits the member protocol (awaits unblock at
+// once, like a SIGINT drain). After a successful body the members are
+// sealed at index seal, one past the last experiment: a flush barrier
+// when body ran nothing (see flushMembers), then the metrics pull that
+// folds every member's registry into ours, so the campaign metrics.json
+// and /metrics expose one member-labeled fleet surface. The stop
+// instruction is broadcast on every exit.
+func (m *Member) coordinate(ctx context.Context, seal int, body func() (ran bool, err error)) error {
+	stopWatch := watchCancel(ctx, m.Quit)
+	defer stopWatch()
+	defer m.stopCluster()
+	ran, err := body()
+	if err != nil {
+		return err
+	}
+	if !ran {
+		m.flushMembers(seal)
+	}
+	m.pullMemberMetrics(seal)
+	return nil
 }
 
-// RunStudyContext is RunStudy with cancellation: when ctx is cancelled the
-// member protocol is quit (awaits unblock immediately, like a SIGINT
-// drain), no further experiments start, and ctx.Err() is returned.
-// Completed experiments are already journaled, so a resumed run picks up
-// at the first missing index.
-func (m *Member) RunStudyContext(ctx context.Context) (*StudyResult, error) {
-	stopWatch := m.quitOnCancel(ctx)
-	defer stopWatch()
+// RunStudy drives the whole study from the coordinator member: the shared
+// study loop with one worker, this member's runOne, so the records match
+// the pool's in shape, journaling and progress events. Journaled
+// experiments are skipped (the members never see a reset for them);
+// fresh records are journaled as their analysis completes, so a crashed
+// coordinator resumes at the first missing experiment. Cancelling ctx
+// quits the member protocol and returns ctx.Err().
+func (m *Member) RunStudy(ctx context.Context) (*StudyResult, error) {
 	closeJournal, err := m.ensureJournal()
 	if err != nil {
 		return nil, err
 	}
 	defer closeJournal()
-	defer m.stopCluster()
-	experiments := m.st.Experiments
-	if err := ValidateExperiments(m.st.Name, experiments); err != nil {
-		return nil, err
-	}
-	records := make([]*ExperimentRecord, experiments)
-	point := m.pointName()
-	nDone, nAccepted := 0, 0
-	m.c.Obs.Emit(obs.Event{Kind: obs.EventStudyStart, Point: point, Experiments: experiments, Member: m.peer})
-	defer func() {
-		m.c.Obs.Emit(obs.Event{
-			Kind: obs.EventStudyDone, Point: point, Experiments: experiments,
-			Completed: nDone, Accepted: nAccepted, Member: m.peer,
+	var sr *StudyResult
+	err = m.coordinate(ctx, m.st.Experiments, func() (ran bool, err error) {
+		sr, err = driveStudy(ctx, m.c, m.st, m.sj, m.peer, 1, func() (runner, func(), error) {
+			ran = true
+			return m.runOne, nil, nil
 		})
-	}()
-	executed := false
-	for i := 0; i < experiments; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rec, err := m.sj.lookup(i)
-		if err != nil {
-			return nil, err
-		}
-		if rec == nil {
-			executed = true
-			raw, err := m.runOne(i)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: clustered experiment %d: %w", i, err)
-			}
-			if rec, err = analyzeExperiment(m.c, m.st, raw); err != nil {
-				return nil, err
-			}
-			if err := m.sj.record(rec); err != nil {
-				return nil, err
-			}
-		}
-		records[i] = rec
-		nDone++
-		if rec.Accepted {
-			nAccepted++
-		}
-		m.c.Obs.Emit(obs.Event{
-			Kind: obs.EventExperiment, Point: point, Index: i, Experiments: experiments,
-			Completed: nDone, Accepted: nAccepted, AcceptedOne: rec.Accepted, Member: m.peer,
-		})
-	}
-	if !executed {
-		m.flushMembers(experiments)
-	}
-	// Study seal: fold every member's registry into ours so the campaign
-	// metrics.json and /metrics expose one member-labeled fleet surface.
-	m.pullMemberMetrics(experiments)
-	return &StudyResult{Name: m.st.Name, Records: records}, nil
-}
-
-// pointName names this study (or matrix point) for traces and events.
-func (m *Member) pointName() string {
-	if m.sj != nil {
-		return m.sj.point
-	}
-	if m.c.matrixPoint != "" {
-		return m.c.matrixPoint
-	}
-	return m.st.Name
+		return ran, err
+	})
+	return sr, err
 }
 
 // RunOne runs a single clustered experiment (cmd/lokid's one-experiment
-// mode), returning the analyzed record plus the raw artifacts. With a
-// Checkpoint, a journaled experiment is returned — raw artifacts included,
-// so the caller can still write its files — without touching the cluster.
-func (m *Member) RunOne() (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
-	return m.RunOneContext(context.Background())
-}
-
-// RunOneContext is RunOne with cancellation (the member protocol is quit
-// when ctx is cancelled).
-func (m *Member) RunOneContext(ctx context.Context) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
-	stopWatch := m.quitOnCancel(ctx)
-	defer stopWatch()
+// mode) through the shared single-shot pipeline, returning the analyzed
+// record plus the raw artifacts. With a Checkpoint, a journaled experiment
+// is returned — raw artifacts included, so the caller can still write its
+// files — without running it on the cluster. Cancelling ctx quits the
+// member protocol and returns ctx.Err().
+func (m *Member) RunOne(ctx context.Context) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
 	closeJournal, err := m.ensureJournal()
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer closeJournal()
-	defer m.stopCluster()
-	if rec, locals, stamps, err := m.sj.lookupRaw(0); err != nil {
-		return nil, nil, nil, err
-	} else if rec != nil {
-		m.flushMembers(1)
-		return rec, stamps, locals, nil
-	}
-	raw, err := m.runOne(0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rec, err := analyzeExperiment(m.c, m.st, raw)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := m.sj.recordRaw(rec, raw.locals, raw.allStamps()); err != nil {
-		return nil, nil, nil, err
-	}
-	m.pullMemberMetrics(1)
-	return rec, raw.allStamps(), raw.locals, nil
+	var (
+		rec    *ExperimentRecord
+		stamps []clocksync.StampedMessage
+		locals []*timeline.Local
+	)
+	err = m.coordinate(ctx, 1, func() (ran bool, err error) {
+		rec, stamps, locals, err = runSingle(ctx, m.c, m.st, m.sj, func(index int) (*rawExperiment, error) {
+			ran = true
+			return m.runOne(index)
+		})
+		return ran, err
+	})
+	return rec, stamps, locals, err
 }
 
 // runOne executes one experiment's runtime phase across the cluster.
 func (m *Member) runOne(index int) (*rawExperiment, error) {
 	peers := m.tr.Topology().PeerNames()
-	point := m.pointName()
+	point := studyPoint(m.c, m.st, m.sj)
 
 	// Clustered runs are always real-time, so the coordinator's trace uses
 	// its runtime clock directly; member lanes are pulled after the seal
 	// and rebased onto this clock by the sync-round offset estimates.
-	var tr *obs.Trace
-	if m.c.Obs.Tracing() {
-		tr = obs.NewTrace(point, index)
-		m.rt.SetTrace(tr)
-		defer m.rt.SetTrace(nil)
-	}
+	ph := startPhases(m.c, m.rt, point, index)
+	defer ph.stop()
 	m.align = make(map[string]memberAlign, len(peers))
-	cm := m.c.Obs.CampaignMetrics()
-	clk := m.rt.Clock()
-	observing := tr != nil || cm != nil
-	var t0, t1, t2, t3, end time.Time
-	if observing {
-		t0 = clk.Now()
-	}
 
 	// Reset barrier: every member on a fresh testbed and the new epoch
 	// before any traffic flows. The reset frame carries the trace context:
@@ -825,21 +744,12 @@ func (m *Member) runOne(index int) (*rawExperiment, error) {
 	// will be pulled for this experiment.
 	m.rt.ResetExperiment()
 	m.tr.SetEpoch(uint64(index) + 1)
-	acked, err := m.await(opResetOK, index, asSet(peers), nil, func() {
-		m.broadcastCtrl(opReset, clusterMsg{Index: index, Point: point, TraceOn: tr != nil})
-	})
-	_ = acked
-	if err != nil {
+	if _, err := m.await(opResetOK, index, asSet(peers), nil, func() {
+		m.broadcastCtrl(opReset, clusterMsg{Index: index, Point: point, TraceOn: ph.tr != nil})
+	}); err != nil {
 		return nil, fmt.Errorf("reset barrier: %w", err)
 	}
-
-	if observing {
-		t1 = clk.Now()
-		tr.Span("reset", t0, t1)
-		if cm != nil {
-			cm.ResetSeconds.Observe(t1.Sub(t0).Seconds())
-		}
-	}
+	ph.lap(stepReset)
 
 	// Pre-experiment synchronization mini-phase: direct reads for local
 	// hosts, socket round trips for remote ones. A failed phase (loss
@@ -851,14 +761,7 @@ func (m *Member) runOne(index int) (*rawExperiment, error) {
 	if err != nil {
 		syncErr = fmt.Sprintf("pre-sync: %v", err)
 	}
-
-	if observing {
-		t2 = clk.Now()
-		tr.Span("clock-sync-pre", t1, t2)
-		if cm != nil {
-			cm.SyncSeconds.Observe(t2.Sub(t1).Seconds())
-		}
-	}
+	ph.lap(stepSyncPre)
 
 	// Start everywhere (idempotent; re-broadcast rides out loss), then
 	// wait for every member's local completion and our own.
@@ -904,37 +807,33 @@ func (m *Member) runOne(index int) (*rawExperiment, error) {
 		m.rt.KillAll()
 		m.rt.Wait(time.Second)
 	}
-	results, err := m.collectResults(index, peers)
+	results, err := m.collectFrames(index, peers, opSeal, opResult)
 	if err != nil {
 		return nil, err
 	}
-
-	if observing {
-		t3 = clk.Now()
-		tr.Span("experiment", t2, t3)
-		if cm != nil {
-			cm.RunSeconds.Observe(t3.Sub(t2).Seconds())
-		}
-	}
+	ph.lap(stepExperiment)
 
 	// Post-experiment synchronization mini-phase.
 	post, err := m.clusterStamps()
 	if err != nil && syncErr == "" {
 		syncErr = fmt.Sprintf("post-sync: %v", err)
 	}
+	ph.lap(stepSyncPost)
 
-	if observing {
-		end = clk.Now()
-		tr.Span("clock-sync-post", t3, end)
-		if cm != nil {
-			cm.SyncSeconds.Observe(end.Sub(t3).Seconds())
-		}
+	// A quit protocol cuts the phase short in ways that read like network
+	// faults (lost sync rounds, missing done reports): never let such a run
+	// pass for a measured experiment, or a cancelled study would journal a
+	// verdict its resume then trusts.
+	select {
+	case <-m.quit:
+		return nil, fmt.Errorf("member quit during experiment %d", index)
+	default:
 	}
 
 	// Pull each member's trace lane now that both sync phases have
 	// contributed offset estimates; merged spans land in the same
 	// traces/<point>/expNNN.trace.jsonl artifact the analysis stage writes.
-	m.collectMemberTraces(index, peers, tr)
+	m.collectMemberTraces(index, peers, ph.tr)
 
 	ownLocals, ownOutcomes := m.collectResult()
 	locals := append([]*timeline.Local(nil), ownLocals...)
@@ -985,8 +884,8 @@ func (m *Member) runOne(index int) (*rawExperiment, error) {
 		lostTimelines: lost,
 		syncError:     syncErr,
 		ref:           m.ref,
-		trace:         tr,
-		traceEnd:      end,
+		trace:         ph.tr,
+		traceEnd:      ph.last,
 	}, nil
 }
 
@@ -1027,12 +926,6 @@ func (m *Member) await(op string, index int, expect map[string]bool, own chan bo
 		}
 	}
 	return out, nil
-}
-
-// collectResults re-broadcasts seal until every peer's full result frame
-// set has arrived.
-func (m *Member) collectResults(index int, peers []string) (map[string][]clusterMsg, error) {
-	return m.collectFrames(index, peers, opSeal, opResult)
 }
 
 // collectFrames re-broadcasts sendOp until every peer's full respOp frame
@@ -1316,14 +1209,9 @@ func (m *Member) awaitPong(host string, seq int) (syncWire, bool) {
 // transport kind on 127.0.0.1 — the "loopback multi-process" topology,
 // with process boundaries replaced by runtime boundaries so it can run
 // (and be raced) inside one test binary. cmd/lokid wires real OS
-// processes to the same Member protocol.
-func RunClustered(c *Campaign, st *Study, kind string) (*StudyResult, error) {
-	return RunClusteredContext(context.Background(), c, st, kind)
-}
-
-// RunClusteredContext is RunClustered with cancellation: the coordinator
-// quits the member protocol when ctx is cancelled.
-func RunClusteredContext(ctx context.Context, c *Campaign, st *Study, kind string) (*StudyResult, error) {
+// processes to the same Member protocol. Cancelling ctx quits the member
+// protocol and returns ctx.Err().
+func RunClustered(ctx context.Context, c *Campaign, st *Study, kind string) (*StudyResult, error) {
 	j, err := openCampaignJournal(c)
 	if err != nil {
 		return nil, err
@@ -1332,14 +1220,14 @@ func RunClusteredContext(ctx context.Context, c *Campaign, st *Study, kind strin
 	return runClustered(ctx, c, st, kind, j.study(c, st, st.Name))
 }
 
-// runClustered is RunClusteredContext with the checkpoint binding handed
-// down by whichever engine already opened the journal (Run, RunMatrix).
+// runClustered is RunClustered with the checkpoint binding handed down by
+// whichever engine already opened the journal (Run, RunMatrix).
 func runClustered(ctx context.Context, c *Campaign, st *Study, kind string, sj *studyJournal) (*StudyResult, error) {
 	var sr *StudyResult
 	err := withLoopbackCluster(c, st, kind, func(coordinator *Member) error {
 		coordinator.sj = sj
 		var err error
-		sr, err = coordinator.RunStudyContext(ctx)
+		sr, err = coordinator.RunStudy(ctx)
 		return err
 	})
 	return sr, err
@@ -1395,7 +1283,7 @@ func withLoopbackCluster(c *Campaign, st *Study, kind string, drive func(coordin
 		}
 		members = append(members, m)
 		serving++
-		go func(m *Member) { serveErr <- m.Serve() }(m)
+		go func(m *Member) { serveErr <- m.Serve(context.Background()) }(m)
 	}
 	if coordinator == nil {
 		return fmt.Errorf("campaign: no member owns reference host")

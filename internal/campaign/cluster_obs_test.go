@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,7 +25,7 @@ func TestClusterTraceMergeAndMetricsPull(t *testing.T) {
 	dir := t.TempDir()
 	c.Obs = &obs.Sink{TraceDir: dir, Metrics: obs.NewRegistry()}
 
-	sr, err := RunClustered(c, c.Studies[0], transport.KindNameInproc)
+	sr, err := RunClustered(context.Background(), c, c.Studies[0], transport.KindNameInproc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestClusterEventMemberAttribution(t *testing.T) {
 	var events []obs.Event
 	c.Obs = &obs.Sink{}
 	c.Obs.Watch(func(ev obs.Event) { events = append(events, ev) })
-	if _, err := RunClustered(c, c.Studies[0], transport.KindNameInproc); err != nil {
+	if _, err := RunClustered(context.Background(), c, c.Studies[0], transport.KindNameInproc); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
@@ -115,5 +117,100 @@ func TestClusterEventMemberAttribution(t *testing.T) {
 		if ev.Member != "h1" {
 			t.Errorf("event %s exp %d: member %q, want h1 (the coordinator)", ev.Kind, ev.Index, ev.Member)
 		}
+	}
+}
+
+// studyEngines selects both study engines by Study.Transport: the
+// in-process worker pool, and the cluster coordinator over a UDP loopback
+// cluster, whose events name the coordinator's peer.
+var studyEngines = []struct{ name, transport, member string }{
+	{"pool", "", ""},
+	{"cluster-udp", transport.KindNameUDP, "h1"},
+}
+
+// TestResumedStudyProgress: a fully journaled study resumes with the same
+// progress events on both engines — study-start already counting every
+// journaled experiment, no experiment event for a journaled index — and
+// every clustered event still names the coordinator.
+func TestResumedStudyProgress(t *testing.T) {
+	const experiments = 3
+	want := []string{"study-start 3/3 accepted 3", "study-done 3/3 accepted 3"}
+	for _, eng := range studyEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			dir := t.TempDir()
+			run := func(resume bool, sink *obs.Sink) {
+				c := stepCampaign(t, experiments, 1)
+				c.Studies[0].Transport = eng.transport
+				c.Checkpoint = &Checkpoint{Dir: dir, Resume: resume}
+				c.Obs = sink
+				if _, err := Run(context.Background(), c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run(false, nil)
+			var events []obs.Event
+			sink := &obs.Sink{}
+			sink.Watch(func(ev obs.Event) { events = append(events, ev) })
+			run(true, sink)
+
+			var got []string
+			for _, ev := range events {
+				got = append(got, fmt.Sprintf("%s %d/%d accepted %d", ev.Kind, ev.Completed, ev.Experiments, ev.Accepted))
+				if ev.Member != eng.member {
+					t.Errorf("event %s: member %q, want %q", ev.Kind, ev.Member, eng.member)
+				}
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("resumed progress events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		})
+	}
+}
+
+// TestPhasePipelineParity: both engines time an experiment through one
+// phase pipeline — the same phase spans, in the same order, in its trace,
+// and the same observation counts in the per-phase histograms.
+func TestPhasePipelineParity(t *testing.T) {
+	phases := map[string]bool{"reset": true, "clock-sync-pre": true, "experiment": true, "clock-sync-post": true, "analyze": true}
+	const (
+		wantSpans = "reset clock-sync-pre experiment clock-sync-post analyze"
+		wantHists = "reset=1 sync=2 run=1"
+	)
+	for _, eng := range studyEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			c := stepCampaign(t, 1, 1)
+			c.Studies[0].Transport = eng.transport
+			dir := t.TempDir()
+			c.Obs = &obs.Sink{TraceDir: dir, Metrics: obs.NewRegistry()}
+			if _, err := Run(context.Background(), c); err != nil {
+				t.Fatal(err)
+			}
+
+			data, err := os.ReadFile(filepath.Join(dir, "steps", "exp000.trace.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := obs.DecodeTrace(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spans []string
+			for _, s := range tr.Spans() {
+				if s.Member == "" && phases[s.Name] {
+					spans = append(spans, s.Name)
+				}
+			}
+			if got := strings.Join(spans, " "); got != wantSpans {
+				t.Errorf("phase spans = %q, want %q", got, wantSpans)
+			}
+
+			h := c.Obs.Metrics.LocalSnapshot().Histograms
+			count := func(phase string) uint64 {
+				return h[`loki_experiment_phase_seconds{phase="`+phase+`"}`].Count
+			}
+			if got := fmt.Sprintf("reset=%d sync=%d run=%d", count("reset"), count("sync"), count("run")); got != wantHists {
+				t.Errorf("phase histogram counts = %s, want %s", got, wantHists)
+			}
+		})
 	}
 }

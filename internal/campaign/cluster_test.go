@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -76,7 +77,7 @@ yellow ysplit (yellow:LEAD) once partition(h3|h1,h2) 30ms
 func TestClusterVerdictParityUDP(t *testing.T) {
 	const experiments = 3
 	run := func(kind string) *StudyResult {
-		res, err := Run(electionCampaign(t, experiments, kind))
+		res, err := Run(context.Background(), electionCampaign(t, experiments, kind))
 		if err != nil {
 			t.Fatalf("transport %q: %v", kind, err)
 		}
@@ -137,7 +138,7 @@ func TestClusterVerdictParityUDP(t *testing.T) {
 func TestClusteredStepDeterminismTCP(t *testing.T) {
 	c := stepCampaign(t, 2, 1)
 	c.Studies[0].Transport = "tcp"
-	res, err := Run(c)
+	res, err := Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestClusteredStepDeterminismTCP(t *testing.T) {
 // cross-runtime traffic by direct call, no sockets involved.
 func TestClusteredInprocMultiEndpoint(t *testing.T) {
 	c := stepCampaign(t, 2, 1)
-	sr, err := RunClustered(c, c.Studies[0], transport.KindNameInproc)
+	sr, err := RunClustered(context.Background(), c, c.Studies[0], transport.KindNameInproc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestClusteredInprocMultiEndpoint(t *testing.T) {
 func TestClusterBadTransportKind(t *testing.T) {
 	c := stepCampaign(t, 1, 1)
 	c.Studies[0].Transport = "pigeon"
-	if _, err := Run(c); err == nil {
+	if _, err := Run(context.Background(), c); err == nil {
 		t.Fatal("unknown transport kind accepted")
 	}
 }

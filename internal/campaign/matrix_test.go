@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -81,7 +82,7 @@ func TestUnknownHostInActionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Nodes[0].Faults = append(st.Nodes[0].Faults, f)
-	if _, err := Run(c); err == nil || !strings.Contains(err.Error(), "unknown host") {
+	if _, err := Run(context.Background(), c); err == nil || !strings.Contains(err.Error(), "unknown host") {
 		t.Fatalf("Run error = %v, want unknown host rejection", err)
 	}
 }
@@ -97,7 +98,7 @@ func TestMatrixUnknownMachineRejected(t *testing.T) {
 		Build:     func(Point) (*Study, error) { return stepStudy(t, 1), nil },
 	}
 	c := stepCampaign(t, 1, 1)
-	if _, err := RunMatrix(c, m); err == nil || !strings.Contains(err.Error(), "unknown machine") {
+	if _, err := RunMatrix(context.Background(), c, m); err == nil || !strings.Contains(err.Error(), "unknown machine") {
 		t.Fatalf("RunMatrix error = %v, want unknown machine", err)
 	}
 }
@@ -123,7 +124,7 @@ func TestRunMatrixShardsAndOrders(t *testing.T) {
 	run := func(workers int) *MatrixResult {
 		c := stepCampaign(t, 2, workers)
 		c.Studies = nil
-		res, err := RunMatrix(c, m)
+		res, err := RunMatrix(context.Background(), c, m)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -200,7 +201,7 @@ func TestClockStepDiscardsNotAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Nodes[0].Faults = append(st.Nodes[0].Faults, f)
-	res, err := Run(c)
+	res, err := Run(context.Background(), c)
 	if err != nil {
 		t.Fatalf("campaign aborted instead of discarding: %v", err)
 	}
@@ -233,7 +234,7 @@ func TestClockStepDiscardsNotAborts(t *testing.T) {
 // TestCleanRunNotClockStepSuspected: a feasible experiment must never
 // carry the clock-step verdict.
 func TestCleanRunNotClockStepSuspected(t *testing.T) {
-	res, err := Run(stepCampaign(t, 1, 1))
+	res, err := Run(context.Background(), stepCampaign(t, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestChaosParallelDeterminism(t *testing.T) {
 		return c
 	}
 	summarize := func(workers int) (accepted string, canon string) {
-		res, err := Run(build(workers))
+		res, err := Run(context.Background(), build(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

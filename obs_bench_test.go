@@ -1,15 +1,11 @@
 // Benchmarks for the observability layer's overhead on the campaign hot
-// path. See EXPERIMENTS.md for the recorded figures; the JSON emitter
-// below regenerates BENCH_obs.json.
+// path. lokibench (lokibench/DESIGN.md) holds the end-to-end figures.
 //
 //	go test -bench='BenchmarkObserverOverhead' -benchmem
 package loki_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -44,16 +40,7 @@ func runObsBench(tb testing.TB, perPoint int, opts ...loki.Option) int {
 		loki.WithMatrix(chaosMatrix(tb, perPoint)),
 		loki.WithVirtualTime(),
 	}, opts...)
-	s, err := loki.Open(chaosCampaign(1), opts...)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer s.Close()
-	res, err := s.Run(context.Background())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	_, n := res.Matrix.AcceptedTotal()
+	_, n := runSession(tb, chaosCampaign(1), opts...).Matrix.AcceptedTotal()
 	return n
 }
 
@@ -111,7 +98,7 @@ func runClusteredObsBench(tb testing.TB, experiments int, traced bool, dir strin
 	if traced {
 		c.Obs = &obs.Sink{TraceDir: dir, Metrics: obs.NewRegistry()}
 	}
-	sr, err := campaign.RunClustered(c, c.Studies[0], "udp")
+	sr, err := campaign.RunClustered(context.Background(), c, c.Studies[0], "udp")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -145,97 +132,4 @@ func BenchmarkClusteredTracingOverhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestEmitObsBenchJSON regenerates BENCH_obs.json: throughput per observer
-// mode plus the disabled notify path's allocations per op. Skipped in
-// -short mode.
-func TestEmitObsBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping bench JSON emission in short mode")
-	}
-	type row struct {
-		Mode           string  `json:"mode"`
-		Experiments    int     `json:"experiments"`
-		ElapsedSec     float64 `json:"elapsed_sec"`
-		ExperimentsSec float64 `json:"experiments_per_sec"`
-	}
-	type doc struct {
-		Name                string  `json:"name"`
-		Rows                []row   `json:"rows"`
-		MetricsOverheadPct  float64 `json:"metrics_overhead_pct"`
-		TracingOverheadPct  float64 `json:"full_tracing_overhead_pct"`
-		ClusteredTracingPct float64 `json:"clustered_tracing_overhead_pct"`
-		DisabledNotifyAlloc float64 `json:"disabled_notify_allocs_per_op"`
-	}
-	const perPoint, rounds = 25, 8
-	out := doc{Name: "observer-overhead"}
-	// Interleave the modes round-robin so machine-load drift hits all
-	// three equally instead of whichever mode ran last.
-	elapsed := map[string]float64{}
-	total := map[string]int{}
-	for _, mode := range obsModes {
-		runObsBench(t, perPoint, obsOptions(mode, t.TempDir())...) // warm-up
-	}
-	for i := 0; i < rounds; i++ {
-		for _, mode := range obsModes {
-			start := time.Now()
-			total[mode] += runObsBench(t, perPoint, obsOptions(mode, t.TempDir())...)
-			elapsed[mode] += time.Since(start).Seconds()
-		}
-	}
-	persec := map[string]float64{}
-	for _, mode := range obsModes {
-		persec[mode] = float64(total[mode]) / elapsed[mode]
-		out.Rows = append(out.Rows, row{Mode: mode, Experiments: total[mode],
-			ElapsedSec: elapsed[mode], ExperimentsSec: persec[mode]})
-		t.Logf("observers=%s: %.1f experiments/sec", mode, persec[mode])
-	}
-	out.MetricsOverheadPct = 100 * (1 - persec["metrics"]/persec["off"])
-	out.TracingOverheadPct = 100 * (1 - persec["full"]/persec["off"])
-
-	// Clustered rows: real-time UDP loopback, trace-stream protocol idle
-	// vs fully active (lanes recorded, pulled, merged, written).
-	const clusteredExp, clusteredRounds = 2, 3
-	cElapsed := map[bool]float64{}
-	cTotal := map[bool]int{}
-	for _, traced := range []bool{false, true} {
-		runClusteredObsBench(t, clusteredExp, traced, t.TempDir()) // warm-up
-	}
-	for i := 0; i < clusteredRounds; i++ {
-		for _, traced := range []bool{false, true} {
-			start := time.Now()
-			cTotal[traced] += runClusteredObsBench(t, clusteredExp, traced, t.TempDir())
-			cElapsed[traced] += time.Since(start).Seconds()
-		}
-	}
-	cPersec := map[bool]float64{}
-	for _, traced := range []bool{false, true} {
-		mode := "clustered-udp-plain"
-		if traced {
-			mode = "clustered-udp-traced"
-		}
-		cPersec[traced] = float64(cTotal[traced]) / cElapsed[traced]
-		out.Rows = append(out.Rows, row{Mode: mode, Experiments: cTotal[traced],
-			ElapsedSec: cElapsed[traced], ExperimentsSec: cPersec[traced]})
-		t.Logf("%s: %.1f experiments/sec", mode, cPersec[traced])
-	}
-	out.ClusteredTracingPct = 100 * (1 - cPersec[true]/cPersec[false])
-
-	var sink *obs.Sink
-	ev := obs.Event{Kind: obs.EventExperiment, Point: "p", Index: 1}
-	out.DisabledNotifyAlloc = testing.AllocsPerRun(1000, func() { sink.Emit(ev) })
-	if out.DisabledNotifyAlloc != 0 {
-		t.Errorf("disabled notify path allocates %.1f per op, want 0", out.DisabledNotifyAlloc)
-	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("metrics overhead %.1f%%, full tracing %.1f%%\n",
-		out.MetricsOverheadPct, out.TracingOverheadPct)
 }

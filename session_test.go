@@ -1,17 +1,22 @@
 package loki_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	loki "repro"
 	"repro/apps/election"
+	"repro/internal/campaign"
 )
 
 // parityConfigDoc builds the campaign-file side of the parity test: an
@@ -212,7 +217,7 @@ func TestSessionParityMatrix(t *testing.T) {
 		}
 
 		c, m := legacyParityMatrix(t, transport, seeds, experiments)
-		legacy, err := loki.RunMatrix(c, m)
+		legacy, err := campaign.RunMatrix(context.Background(), c, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,6 +326,78 @@ func TestSessionCancelAndResume(t *testing.T) {
 	}
 }
 
+// TestSessionCancelAndResumeUDP: the clustered engine honours the same
+// cancellation contract as the pool. Cancelling mid-study returns
+// context.Canceled (not a "member quit" protocol error), the journal keeps
+// only whole experiments, and Resume completes the record set by appending
+// to that journal, never rewriting it.
+func TestSessionCancelAndResumeUDP(t *testing.T) {
+	dir := t.TempDir()
+	const experiments = 4
+	udpCampaign := func() *loki.Campaign {
+		c := sessionCancelCampaign(experiments, dir)
+		c.Studies[0].Transport = loki.TransportUDP
+		return c
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Cancel shortly after the first experiment is journaled, while the
+	// second one is mid-protocol on the cluster (each runs the election
+	// for 60 ms).
+	var once sync.Once
+	s, err := loki.Open(udpCampaign(), loki.WithObserver(func(ev loki.ProgressEvent) {
+		if ev.Kind == loki.EventExperiment {
+			once.Do(func() { time.AfterFunc(20*time.Millisecond, cancel) })
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled clustered Run error = %v, want context.Canceled", err)
+	}
+	st, err := s.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, complete, _ := st.Totals(); complete == 0 || complete >= experiments {
+		t.Fatalf("cancelled run journaled %d/%d experiments, want some but not all", complete, experiments)
+	}
+	journal := filepath.Join(dir, "checkpoint.jsonl")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := loki.Open(udpCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	res, err := s2.Resume(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := res.Campaign.Study("s")
+	if len(sr.Records) != experiments {
+		t.Fatalf("resumed records = %d, want %d", len(sr.Records), experiments)
+	}
+	for i, rec := range sr.Records {
+		if rec == nil || rec.Index != i {
+			t.Fatalf("record %d = %+v", i, rec)
+		}
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, before) || len(after) == len(before) {
+		t.Errorf("resumed journal (%d bytes) does not extend the cancelled run's journal (%d bytes)", len(after), len(before))
+	}
+}
+
 // TestSessionStatusCountsAcceptance: Status reports expected vs complete
 // vs accepted per study without running anything.
 func TestSessionStatusCountsAcceptance(t *testing.T) {
@@ -408,24 +485,6 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := loki.Open(nil); err == nil {
 		t.Error("Open(nil) accepted")
-	}
-}
-
-// TestLegacyRunMatrixIgnoresStudies: the deprecated shim must keep the
-// legacy engine's behavior of ignoring Campaign.Studies (points come from
-// Matrix.Build), which Open would otherwise reject as ambiguous.
-func TestLegacyRunMatrixIgnoresStudies(t *testing.T) {
-	c, m := legacyParityMatrix(t, "", []int64{1}, 1)
-	c.Studies = sessionCancelCampaign(1, "").Studies // reused for both entry points
-	out, err := loki.RunMatrix(c, m)
-	if err != nil {
-		t.Fatalf("RunMatrix with Studies set: %v", err)
-	}
-	if len(out.Points) != 2 {
-		t.Fatalf("points = %d", len(out.Points))
-	}
-	if c.Studies == nil {
-		t.Error("shim cleared the caller's Studies")
 	}
 }
 

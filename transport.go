@@ -1,12 +1,6 @@
 package loki
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/campaign"
-	"repro/internal/transport"
-)
+import "repro/internal/transport"
 
 // Pluggable transport layer: the same studies run on the in-memory bus
 // (the fast default), over UDP datagrams, or over TCP streams with
@@ -19,10 +13,6 @@ type (
 	TransportMessage = transport.Message
 	// TransportTopology says which peer endpoint owns which virtual host.
 	TransportTopology = transport.Topology
-	// ClusterMember is one endpoint of a clustered study: a private
-	// runtime hosting its local virtual hosts, following (or, for the
-	// reference host's owner, coordinating) the experiment protocol.
-	ClusterMember = campaign.Member
 )
 
 // Transport kind names accepted by Study.Transport and the cluster
@@ -45,48 +35,4 @@ func NewTCPTransport(topo TransportTopology) (Transport, error) { return transpo
 // calls, for inproc).
 func NewLoopbackCluster(kind string, hosts map[string]string) (map[string]Transport, error) {
 	return transport.NewLoopbackCluster(kind, hosts)
-}
-
-// NewClusterMember builds one endpoint's member for a clustered study.
-// The member owning the lexicographically first host coordinates
-// (Member.Coordinator) and drives RunStudy; the others Serve.
-func NewClusterMember(c *Campaign, st *Study, tr Transport) (*ClusterMember, error) {
-	return campaign.NewMember(c, st, tr)
-}
-
-// RunClusteredStudy executes the study with every campaign host in its
-// own runtime, connected over the named transport kind on loopback —
-// Study.Transport does the same through a Session's Run.
-//
-// Deprecated: RunClusteredStudy is a thin shim over the Session API and
-// will be removed next release. Set Study.Transport and open a Session:
-//
-//	st.Transport = loki.TransportUDP
-//	s, err := loki.Open(c) // c.Studies = []*loki.Study{st}
-//	res, err := s.Run(ctx)
-func RunClusteredStudy(c *Campaign, st *Study, kind string) (*StudyOutcome, error) {
-	if kind == "" || kind == TransportInproc {
-		// The multi-endpoint in-process topology is a test-only corner;
-		// the engines route "inproc" to the worker pool. Reach it via
-		// NewClusterMember when endpoint boundaries matter.
-		return campaign.RunClustered(c, st, kind)
-	}
-	cc := *c
-	stc := *st
-	stc.Transport = kind
-	cc.Studies = []*Study{&stc}
-	s, err := Open(&cc, WithTransport(kind))
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	res, err := s.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	sr := res.Campaign.Study(stc.Name)
-	if sr == nil {
-		return nil, fmt.Errorf("loki: clustered study %q produced no result", stc.Name)
-	}
-	return sr, nil
 }

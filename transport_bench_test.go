@@ -1,16 +1,12 @@
 // Benchmarks for the pluggable transport subsystem: raw frame round
 // trips per implementation, and full-pipeline campaign throughput on the
 // in-process engine versus the clustered socket engines. See the
-// "Transports" section of EXPERIMENTS.md; the JSON emitter below
-// regenerates BENCH_transport.json.
+// "Transports" section of EXPERIMENTS.md.
 //
 //	go test -bench=BenchmarkTransport -benchmem
 package loki_test
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,10 +103,7 @@ func BenchmarkTransportCampaign(b *testing.B) {
 			b.ReportAllocs()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				out, err := loki.RunCampaign(clusteredCampaign(experiments, kind, int64(i)))
-				if err != nil {
-					b.Fatal(err)
-				}
+				out := runSession(b, clusteredCampaign(experiments, kind, int64(i))).Campaign
 				if n := len(out.Study("study1").Records); n != experiments {
 					b.Fatalf("got %d records, want %d", n, experiments)
 				}
@@ -121,113 +114,4 @@ func BenchmarkTransportCampaign(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestEmitTransportBenchJSON regenerates BENCH_transport.json, the
-// transport comparison record referenced by EXPERIMENTS.md. Skipped in
-// -short mode (CI smoke runs stay fast).
-func TestEmitTransportBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping bench JSON emission in short mode")
-	}
-	type rttRow struct {
-		Transport  string  `json:"transport"`
-		Rounds     int     `json:"rounds"`
-		RTTMicros  float64 `json:"round_trip_us"`
-		ElapsedSec float64 `json:"elapsed_sec"`
-	}
-	type campRow struct {
-		Transport      string  `json:"transport"`
-		Experiments    int     `json:"experiments"`
-		ElapsedSec     float64 `json:"elapsed_sec"`
-		ExperimentsSec float64 `json:"experiments_per_sec"`
-		Accepted       int     `json:"accepted"`
-	}
-	type doc struct {
-		Name      string    `json:"name"`
-		RoundTrip []rttRow  `json:"round_trip"`
-		Campaign  []campRow `json:"campaign"`
-	}
-	out := doc{Name: "transport-comparison"}
-
-	for _, kind := range []string{"inproc", "udp", "tcp"} {
-		const rounds = 2000
-		eps, err := transport.NewLoopbackCluster(kind, map[string]string{"h1": "a", "h2": "b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, bb := eps["a"], eps["b"]
-		echoed := make(chan struct{}, 1)
-		if err := bb.Start(func(m transport.Message) {
-			bb.SendHost("h1", transport.Message{Kind: transport.KindNote, State: "pong"})
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Start(func(m transport.Message) {
-			select {
-			case echoed <- struct{}{}:
-			default:
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			if err := a.SendHost("h2", transport.Message{Kind: transport.KindNote, State: "ping"}); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case <-echoed:
-			case <-time.After(time.Second):
-			}
-		}
-		elapsed := time.Since(start)
-		for _, ep := range eps {
-			ep.Close()
-		}
-		out.RoundTrip = append(out.RoundTrip, rttRow{
-			Transport:  kind,
-			Rounds:     rounds,
-			RTTMicros:  float64(elapsed.Microseconds()) / rounds,
-			ElapsedSec: elapsed.Seconds(),
-		})
-		t.Logf("%s round trip: %.1f µs", kind, float64(elapsed.Microseconds())/rounds)
-	}
-
-	const experiments = 8
-	for _, kind := range []string{"", "udp", "tcp"} {
-		name := kind
-		if name == "" {
-			name = "inproc"
-		}
-		start := time.Now()
-		res, err := loki.RunCampaign(clusteredCampaign(experiments, kind, 42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		elapsed := time.Since(start).Seconds()
-		accepted := 0
-		for _, r := range res.Study("study1").Records {
-			if r.Accepted {
-				accepted++
-			}
-		}
-		out.Campaign = append(out.Campaign, campRow{
-			Transport:      name,
-			Experiments:    experiments,
-			ElapsedSec:     elapsed,
-			ExperimentsSec: float64(experiments) / elapsed,
-			Accepted:       accepted,
-		})
-		t.Logf("%s campaign: %.2f experiments/sec (%d/%d accepted)", name, float64(experiments)/elapsed, accepted, experiments)
-	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_transport.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println("wrote BENCH_transport.json")
 }
